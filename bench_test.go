@@ -232,22 +232,26 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures cycle-level simulation speed
-// (100k instructions per op).
+// (100k instructions per op), reported also as ns per committed
+// instruction.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	const insts = 100_000
 	prof, err := trace.ProfileByName("gzip")
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c, err := cpu.New(config.ThreeD(), trace.NewGenerator(prof))
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := c.Run(100_000)
+		s := c.Run(insts)
 		if s.Insts == 0 {
 			b.Fatal("no instructions committed")
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insts), "ns/inst")
 }
 
 // --- Extension studies beyond the paper's figures ---

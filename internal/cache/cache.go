@@ -4,7 +4,10 @@
 // L1/L2/DRAM hierarchy with the Table 1 parameters.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -24,10 +27,13 @@ type Config struct {
 // simulator carries data values in the instruction stream), which is
 // sufficient for timing and activity modelling.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	setMask uint64
-	lineLg  uint
+	cfg Config
+	// lines holds every set's ways back to back: set s is
+	// lines[s*Ways : (s+1)*Ways].
+	lines    []line
+	setMask  uint64
+	setShift uint // log2 of the set count
+	lineLg   uint
 
 	accesses   uint64
 	misses     uint64
@@ -55,30 +61,24 @@ func New(cfg Config) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d must be a positive power of two", cfg.Name, nsets))
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+	return &Cache{
+		cfg:      cfg,
+		lines:    make([]line, nsets*cfg.Ways),
+		setMask:  uint64(nsets - 1),
+		setShift: uint(bits.TrailingZeros(uint(nsets))),
+		lineLg:   uint(bits.TrailingZeros(uint(cfg.LineSize))),
 	}
-	for l := cfg.LineSize; l > 1; l >>= 1 {
-		c.lineLg++
-	}
-	return c
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) index(addr uint64) (set, tag uint64) {
+// set returns the ways of the set addr maps to, and addr's tag.
+func (c *Cache) set(addr uint64) (ways []line, tag uint64) {
 	blk := addr >> c.lineLg
-	return blk & c.setMask, blk >> popcount(c.setMask)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	w := c.cfg.Ways
+	s := int(blk&c.setMask) * w
+	return c.lines[s : s+w : s+w], blk >> c.setShift
 }
 
 // Access looks up addr, allocating on miss (write-allocate). It returns
@@ -86,8 +86,7 @@ func popcount(x uint64) int {
 func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
 	c.clock++
 	c.accesses++
-	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines, tag := c.set(addr)
 	for w := range lines {
 		l := &lines[w]
 		if l.valid && l.tag == tag {
@@ -123,9 +122,9 @@ func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool) {
 
 // Probe reports whether addr is resident without updating state.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
+	lines, tag := c.set(addr)
+	for w := range lines {
+		if lines[w].valid && lines[w].tag == tag {
 			return true
 		}
 	}

@@ -28,20 +28,10 @@ import (
 
 const numArchRegs = 64 // 32 int + 32 fp in the shared rename space
 
-type robState uint8
-
-const (
-	stDispatched robState = iota
-	stIssued
-	stDone
-)
-
 type robEntry struct {
-	inst     trace.Inst
-	state    robState
-	rs       core.Entry
-	inRS     bool
-	complete uint64 // cycle the result is available
+	inst trace.Inst
+	rs   core.Entry
+	done bool // result written back; the entry may commit
 
 	predictedLow bool
 	hasWidthPred bool
@@ -84,15 +74,21 @@ type Core struct {
 	robHead  int
 	robTail  int
 	robCount int
-	ifq      []fetchSlot
 
-	// Compact mirrors of the hot ROB fields, scanned every cycle by
-	// the issue logic; keeping them in dense arrays (rather than
-	// walking the large robEntry structs) is a significant
-	// simulation-speed win.
-	robState    []robState
-	robComplete []uint64
-	robSrc      [][2]int16
+	// Scheduler structures, so that each cycle touches only the
+	// instructions that can change state. waiting holds, oldest first,
+	// the ROB indices of dispatched instructions that have not issued:
+	// the RS residents, so at most RSSize. inflight holds the issued
+	// instructions whose results are not yet written back, as a min-heap
+	// on completion cycle.
+	waiting  []int32
+	inflight completionHeap
+
+	// ifq is the fetch queue, a ring of IFQSize slots holding ifqLen
+	// instructions from ifqHead on.
+	ifq     []fetchSlot
+	ifqHead int
+	ifqLen  int
 
 	regReady [numArchRegs]uint64
 	// regIsLow tracks, in program order at fetch time, whether each
@@ -196,26 +192,24 @@ func New(cfg config.Machine, src trace.Source) (*Core, error) {
 	l1d := cache.New(cache.Config{Name: "l1d", Size: cfg.L1Size, Ways: cfg.L1Ways, LineSize: cfg.LineSize})
 	l2 := cache.New(cache.Config{Name: "l2", Size: cfg.L2Size, Ways: cfg.L2Ways, LineSize: cfg.LineSize})
 	c := &Core{
-		cfg:     cfg,
-		src:     src,
-		bpred:   predictor.NewHybrid(),
-		btb:     predictor.NewBTB(cfg.BTBEntries, cfg.BTBWays),
-		ibtb:    predictor.NewIndirectBTB(cfg.IBTBEntries, cfg.IBTBWays),
-		ras:     predictor.NewRAS(cfg.RASDepth),
-		il1:     cache.New(cache.Config{Name: "l1i", Size: cfg.L1Size, Ways: cfg.L1Ways, LineSize: cfg.LineSize}),
-		itlb:    cache.NewTLB("itlb", cfg.ITLBEntries, cfg.TLBWays),
-		dtlb:    cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBWays),
-		dmem:    cache.NewHierarchy(l1d, l2, cfg.L1Latency, cfg.L2Latency, cfg.DRAMCycles()),
-		wpred:   core.NewWidthPredictor(cfg.WidthPredEntries),
-		rsAlloc: core.NewHerdingAllocator(cfg.RSSize, cfg.AllocPolicy),
-		pam:     core.NewAddressMemo(),
-		rob:     make([]robEntry, cfg.ROBSize),
-		ifq:     make([]fetchSlot, 0, cfg.IFQSize),
-		sqAddrs: make(map[uint64]int, cfg.SQSize),
-
-		robState:    make([]robState, cfg.ROBSize),
-		robComplete: make([]uint64, cfg.ROBSize),
-		robSrc:      make([][2]int16, cfg.ROBSize),
+		cfg:      cfg,
+		src:      src,
+		bpred:    predictor.NewHybrid(),
+		btb:      predictor.NewBTB(cfg.BTBEntries, cfg.BTBWays),
+		ibtb:     predictor.NewIndirectBTB(cfg.IBTBEntries, cfg.IBTBWays),
+		ras:      predictor.NewRAS(cfg.RASDepth),
+		il1:      cache.New(cache.Config{Name: "l1i", Size: cfg.L1Size, Ways: cfg.L1Ways, LineSize: cfg.LineSize}),
+		itlb:     cache.NewTLB("itlb", cfg.ITLBEntries, cfg.TLBWays),
+		dtlb:     cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBWays),
+		dmem:     cache.NewHierarchy(l1d, l2, cfg.L1Latency, cfg.L2Latency, cfg.DRAMCycles()),
+		wpred:    core.NewWidthPredictor(cfg.WidthPredEntries),
+		rsAlloc:  core.NewHerdingAllocator(cfg.RSSize, cfg.AllocPolicy),
+		pam:      core.NewAddressMemo(),
+		rob:      make([]robEntry, cfg.ROBSize),
+		waiting:  make([]int32, 0, cfg.RSSize),
+		inflight: make(completionHeap, 0, cfg.ROBSize),
+		ifq:      make([]fetchSlot, cfg.IFQSize),
+		sqAddrs:  make(map[uint64]int, cfg.SQSize),
 	}
 	for i := range c.regIsLow {
 		c.regIsLow[i] = true
@@ -315,7 +309,7 @@ func (c *Core) runLoop(targetInsts uint64) (occROB, occRS uint64) {
 		occRS += uint64(c.rsAlloc.Capacity() - c.rsAlloc.Free())
 		c.rsAlloc.ObserveOccupancy()
 		c.cycle++
-		if c.srcDone && c.robCount == 0 && len(c.ifq) == 0 {
+		if c.srcDone && c.robCount == 0 && c.ifqLen == 0 {
 			break
 		}
 		// Safety valve: a stuck pipeline is a bug, not a result.
@@ -390,13 +384,19 @@ func (c *Core) fetch() {
 	if c.redirectPending || c.cycle < c.fetchResumeAt || c.srcDone {
 		return
 	}
-	for fetched := 0; fetched < c.cfg.FetchWidth && len(c.ifq) < c.cfg.IFQSize; fetched++ {
+	for fetched := 0; fetched < c.cfg.FetchWidth && c.ifqLen < len(c.ifq); fetched++ {
 		in, ok := c.src.Next()
 		if !ok {
 			c.srcDone = true
 			return
 		}
-		slot := fetchSlot{inst: in}
+		tail := c.ifqHead + c.ifqLen
+		if tail >= len(c.ifq) {
+			tail -= len(c.ifq)
+		}
+		slot := &c.ifq[tail]
+		*slot = fetchSlot{inst: in}
+		c.ifqLen++
 
 		// I-cache and ITLB.
 		c.recordActivity(floorplan.BlkICache, core.NumDies)
@@ -435,7 +435,7 @@ func (c *Core) fetch() {
 
 		// Width prediction happens in the front end so gating control
 		// reaches the register file ahead of the access.
-		if actualLow, relevant := c.actualWidthClass(&slot); relevant {
+		if actualLow, relevant := c.actualWidthClass(slot); relevant {
 			slot.hasWidthPred = true
 			slot.predictedLow = c.predictWidth(in.PC, actualLow)
 			if c.cfg.WidthPolicy == core.PolicyTwoBit {
@@ -452,7 +452,6 @@ func (c *Core) fetch() {
 		if in.IsCtrl() {
 			mispred, extraBubble := c.predictControl(&in)
 			slot.mispredicted = mispred
-			c.ifq = append(c.ifq, slot)
 			if mispred {
 				// Fetch stops until the branch resolves.
 				c.redirectPending = true
@@ -465,9 +464,7 @@ func (c *Core) fetch() {
 				c.fetchResumeAt = c.cycle + 1 + extraBubble
 				return
 			}
-			continue
 		}
-		c.ifq = append(c.ifq, slot)
 	}
 }
 
@@ -577,8 +574,8 @@ func (c *Core) dispatch() {
 		return
 	}
 	groupHadUnsafe := false
-	for n := 0; n < c.cfg.DecodeWidth && len(c.ifq) > 0; n++ {
-		slot := c.ifq[0]
+	for n := 0; n < c.cfg.DecodeWidth && c.ifqLen > 0; n++ {
+		slot := &c.ifq[c.ifqHead]
 		in := &slot.inst
 		if c.robCount == c.cfg.ROBSize {
 			break
@@ -610,14 +607,12 @@ func (c *Core) dispatch() {
 			slot.predictedLow = false
 			c.wpred.CorrectOverride(in.PC)
 		}
-		c.chargeRegisterRead(&slot, slot.predictedLow && c.herding())
+		c.chargeRegisterRead(slot, slot.predictedLow && c.herding())
 		c.recordActivity(floorplan.BlkRename, core.NumDies)
 
-		e := robEntry{
+		c.rob[c.robTail] = robEntry{
 			inst:         *in,
-			state:        stDispatched,
 			rs:           rsEntry,
-			inRS:         true,
 			predictedLow: slot.predictedLow,
 			hasWidthPred: slot.hasWidthPred,
 			opAnyFull:    slot.opAnyFull,
@@ -626,9 +621,7 @@ func (c *Core) dispatch() {
 			mispredicted: slot.mispredicted,
 			fpLoad:       in.Class == isa.ClassLoad && in.Dest >= trace.FPBase,
 		}
-		c.rob[c.robTail] = e
-		c.robState[c.robTail] = stDispatched
-		c.robSrc[c.robTail] = [2]int16{in.Src1, in.Src2}
+		c.waiting = append(c.waiting, int32(c.robTail))
 		c.robTail = (c.robTail + 1) % c.cfg.ROBSize
 		c.robCount++
 		// RS entry write: with herding, a low-width instruction's
@@ -649,7 +642,11 @@ func (c *Core) dispatch() {
 			c.sqUsed++
 			c.sqAddrs[in.MemAddr&^7]++
 		}
-		c.ifq = c.ifq[1:]
+		c.ifqHead++
+		if c.ifqHead == len(c.ifq) {
+			c.ifqHead = 0
+		}
+		c.ifqLen--
 	}
 	if groupHadUnsafe {
 		// The whole group stalls one cycle (at most one per group
@@ -703,6 +700,10 @@ type fuBudget struct {
 	memPorts, loadPorts int
 }
 
+// issue selects, oldest first, up to IssueWidth waiting instructions
+// whose operands are ready and whose functional unit is free, then
+// writes back every issued instruction whose completion cycle has
+// arrived.
 func (c *Core) issue() {
 	budget := fuBudget{
 		alu: c.cfg.IntALU, shift: c.cfg.IntShift, mulDiv: c.cfg.IntMulDiv,
@@ -710,93 +711,127 @@ func (c *Core) issue() {
 		memPorts: c.cfg.MemPorts, loadPorts: c.cfg.LoadPorts,
 	}
 	issued := 0
-	size := c.cfg.ROBSize
-	for i, idx := 0, c.robHead; i < c.robCount && issued < c.cfg.IssueWidth; i++ {
-		if c.robState[idx] != stDispatched || !c.srcsReady(idx) {
-			idx++
-			if idx == size {
-				idx = 0
-			}
-			continue
+	// Entries that stay waiting are compacted in place, keeping age
+	// order.
+	kept := c.waiting[:0]
+	for i, idx := range c.waiting {
+		if issued == c.cfg.IssueWidth {
+			kept = append(kept, c.waiting[i:]...)
+			break
 		}
 		e := &c.rob[idx]
-		if !c.takeFU(&budget, &e.inst) {
-			idx++
-			if idx == size {
-				idx = 0
-			}
+		if !c.srcsReady(&e.inst) || !c.takeFU(&budget, &e.inst) {
+			kept = append(kept, idx)
 			continue
 		}
 		lat, ok := c.executeLatency(e)
 		if !ok {
-			idx++
-			if idx == size {
-				idx = 0
-			}
-			continue // non-pipelined unit busy
+			kept = append(kept, idx) // non-pipelined unit busy
+			continue
 		}
-		e.state = stIssued
-		c.robState[idx] = stIssued
-		e.complete = c.cycle + uint64(lat)
-		c.robComplete[idx] = e.complete
+		complete := c.cycle + uint64(lat)
+		c.inflight.push(completion{cycle: complete, idx: idx})
 		if e.inst.Dest != trace.RegNone {
-			c.regReady[e.inst.Dest] = e.complete
+			c.regReady[e.inst.Dest] = complete
 		}
 		issued++
 
 		// Scheduler: issue frees the RS entry and broadcasts the tag.
-		if e.inRS {
-			c.rsAlloc.Release(e.rs)
-			e.inRS = false
-		}
+		c.rsAlloc.Release(e.rs)
 		c.rsAlloc.Broadcast()
+		c.stats.BlockAccesses[floorplan.BlkRS]++
 		if !c.threeDPartitioned() {
-			c.stats.BlockAccesses[floorplan.BlkRS]++
 			c.stats.BlockDie[floorplan.BlkRS].RecordAccess(1)
-		} else {
-			c.stats.BlockAccesses[floorplan.BlkRS]++
-			// Broadcast activity is merged from the allocator at the
-			// end of the run (it already tracks per-die gating).
 		}
+		// With partitioning, broadcast activity is merged from the
+		// allocator at the end of the run (it already tracks per-die
+		// gating).
 		c.chargeExecActivity(e)
 
 		if e.mispredicted {
-			// The branch resolves at e.complete; the front end
-			// restarts after the redirect penalty.
-			c.fetchResumeAt = e.complete + uint64(c.cfg.MispredictRedirect)
+			// The branch resolves at complete; the front end restarts
+			// after the redirect penalty.
+			c.fetchResumeAt = complete + uint64(c.cfg.MispredictRedirect)
 			c.redirectPending = false
 		}
-		idx++
-		if idx == size {
-			idx = 0
-		}
 	}
-	// Advance ROB entry states whose completion time has arrived.
-	for i, idx := 0, c.robHead; i < c.robCount; i++ {
-		if c.robState[idx] == stIssued && c.robComplete[idx] <= c.cycle {
-			c.robState[idx] = stDone
-			e := &c.rob[idx]
-			e.state = stDone
-			c.writeback(e)
-		}
-		idx++
-		if idx == size {
-			idx = 0
-		}
+	c.waiting = kept
+
+	// Write back the results whose completion cycle has arrived.
+	// Writeback only adds to counters, so the order among them does not
+	// matter.
+	for len(c.inflight) > 0 && c.inflight[0].cycle <= c.cycle {
+		e := &c.rob[c.inflight.pop().idx]
+		e.done = true
+		c.writeback(e)
 	}
 }
 
-// srcsReady reports whether the ROB entry's source operands are
+// srcsReady reports whether the instruction's source operands are
 // available this cycle.
-func (c *Core) srcsReady(idx int) bool {
-	src := &c.robSrc[idx]
-	if src[0] != trace.RegNone && c.regReady[src[0]] > c.cycle {
+func (c *Core) srcsReady(in *trace.Inst) bool {
+	if in.Src1 != trace.RegNone && c.regReady[in.Src1] > c.cycle {
 		return false
 	}
-	if src[1] != trace.RegNone && c.regReady[src[1]] > c.cycle {
+	if in.Src2 != trace.RegNone && c.regReady[in.Src2] > c.cycle {
 		return false
 	}
 	return true
+}
+
+// completion is an issued instruction's ROB index and the cycle its
+// result is available.
+type completion struct {
+	cycle uint64
+	idx   int32
+}
+
+// completionHeap is a binary min-heap of completions on cycle.
+type completionHeap []completion
+
+func (h *completionHeap) push(x completion) {
+	s := append(*h, x)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].cycle <= x.cycle {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+	*h = s
+}
+
+// pop removes and returns the earliest completion; the heap must not
+// be empty.
+func (h *completionHeap) pop() completion {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	x := s[n]
+	s = s[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && s[r].cycle < s[l].cycle {
+			l = r
+		}
+		if x.cycle <= s[l].cycle {
+			break
+		}
+		s[i] = s[l]
+		i = l
+	}
+	if n > 0 {
+		s[i] = x
+	}
+	*h = s
+	return top
 }
 
 func (c *Core) takeFU(b *fuBudget, in *trace.Inst) bool {
@@ -1052,7 +1087,7 @@ func (c *Core) writeback(e *robEntry) {
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.CommitWidth && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
-		if e.state != stDone {
+		if !e.done {
 			return
 		}
 		in := &e.inst

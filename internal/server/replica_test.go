@@ -47,6 +47,29 @@ func readyzDoc(t *testing.T, ts *httptest.Server) (int, map[string]any) {
 	return resp.StatusCode, doc
 }
 
+// waitReplicaEvent waits, bounded, until rs holds origin's event of
+// type typ for job id.
+func waitReplicaEvent(t *testing.T, rs *replicaStore, origin, id string, typ journal.EventType) {
+	t.Helper()
+	held := func() bool {
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+		for _, ev := range rs.events[origin] {
+			if ev.ID == id && ev.Type == typ {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !held() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica store never received %s's %v event for %s", origin, typ, id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestReplicaAdoptEndToEnd: records stream to the successor as jobs
 // are acked, and adoption replays them — finished jobs resolve with
 // their results, unfinished ones re-run, and /readyz reports
@@ -71,8 +94,10 @@ func TestReplicaAdoptEndToEnd(t *testing.T) {
 	release <- struct{}{} // job 1 finishes
 	waitState(t, tsa, st1.ID, StateDone)
 
-	// The sync policy means both acks already imply replica appends;
-	// the completed event for job 1 is there too.
+	// The sync policy means both acks already imply replica appends.
+	// Job 1's completed event is logged, and so replicated, only after
+	// its done state is published, so wait for it to reach b.
+	waitReplicaEvent(t, sb.replica, "a", st1.ID, journal.EventCompleted)
 	if got := sb.replica.receivedEvents(); got < 3 {
 		t.Fatalf("successor received %d replica events, want >= 3", got)
 	}

@@ -212,11 +212,19 @@ type Generator struct {
 	retStack   []int
 	calleeLeft int
 
-	destRR  int // round-robin destination register allocator
+	destRR int // round-robin destination register allocator
+	// recent is the window of the last recentMax producers, oldest
+	// first. It slides along window and is copied back to its start
+	// once every recentMax inserts, so noting a producer never
+	// allocates.
 	recent  []producer
+	window  [2 * recentMax]producer
 	regVal  [64]uint64
 	emitted uint64
 }
+
+// recentMax is how many recent producers a source operand can name.
+const recentMax = 64
 
 // producer records a recently written register and the width class of
 // the value it holds, so consumers can exhibit the width locality real
@@ -234,10 +242,10 @@ func NewGenerator(prof Profile) *Generator {
 		panic(err)
 	}
 	g := &Generator{
-		prof:   prof,
-		rng:    rand.New(rand.NewSource(prof.Seed)),
-		recent: make([]producer, 0, 64),
+		prof: prof,
+		rng:  rand.New(rand.NewSource(prof.Seed)),
 	}
+	g.recent = g.window[:0]
 	g.synthesize()
 	return g
 }
@@ -558,10 +566,14 @@ func (g *Generator) pickSource(fp, preferLow bool) int16 {
 }
 
 func (g *Generator) noteDest(d int16, low bool) {
-	g.recent = append(g.recent, producer{reg: d, low: low})
-	if len(g.recent) > 64 {
+	if len(g.recent) == recentMax {
 		g.recent = g.recent[1:]
 	}
+	if len(g.recent) == cap(g.recent) {
+		// The window reached the end of the buffer: slide it back.
+		g.recent = g.window[:copy(g.window[:], g.recent)]
+	}
+	g.recent = append(g.recent, producer{reg: d, low: low})
 }
 
 // intResult draws a result value honouring the static instruction's
